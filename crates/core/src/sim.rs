@@ -303,9 +303,14 @@ impl Simulation {
                 TeacherConfig::new(dim, classes, config.teacher_seed),
             )
         };
-        let student = StudentDetector::pretrained_with(student_cfg, &config.stream.library, 0);
-        let teacher = TeacherDetector::pretrained_with(teacher_cfg, &config.stream.library);
-        (student, teacher)
+        // The two pretrainings share only the read-only library and each
+        // owns its seeded RNG, so running them side by side changes no
+        // weight.
+        let library = &config.stream.library;
+        shoggoth_util::join(
+            || StudentDetector::pretrained_with(student_cfg, library, 0),
+            || TeacherDetector::pretrained_with(teacher_cfg, library),
+        )
     }
 
     /// Builds models and runs the simulation.

@@ -1,8 +1,7 @@
 //! The cloud "golden" teacher (Mask-R-CNN ResNeXt-101 stand-in).
 
-use crate::background_class;
 use crate::data::{sample_domain_batch, LabeledSample};
-use crate::detector::{features_matrix, Detection, Detector};
+use crate::detector::{classify_with, detect_with, Detection, Detector};
 use shoggoth_tensor::{losses, Dense, Matrix, Mlp, Mode, Relu, SgdConfig};
 use shoggoth_util::Rng;
 use shoggoth_video::{ClassId, DomainLibrary, Frame};
@@ -203,6 +202,11 @@ impl TeacherDetector {
         &self.config
     }
 
+    /// Read access to the underlying network.
+    pub fn net(&self) -> &Mlp {
+        &self.net
+    }
+
     /// Serialized model size in bytes.
     pub fn weight_bytes(&self) -> usize {
         self.net.byte_size()
@@ -215,45 +219,11 @@ impl Detector for TeacherDetector {
     }
 
     fn detect(&mut self, frame: &Frame) -> Vec<Detection> {
-        if frame.proposals.is_empty() {
-            return Vec::new();
-        }
-        let features = features_matrix(&frame.proposals);
-        let predictions = self.classify(&features);
-        let bg = background_class(self.config.num_classes);
-        frame
-            .proposals
-            .iter()
-            .zip(predictions)
-            .filter(|(_, (class, _))| *class < bg)
-            .map(|(p, (class, confidence))| Detection {
-                bbox: p.bbox,
-                class,
-                confidence,
-            })
-            .collect()
+        detect_with(&mut self.net, self.config.num_classes, frame)
     }
 
     fn classify(&mut self, features: &Matrix) -> Vec<(ClassId, f32)> {
-        if features.rows() == 0 {
-            return Vec::new();
-        }
-        let logits = self
-            .net
-            .forward(features, Mode::Eval)
-            .expect("feature width matches network input");
-        let probs = losses::softmax(&logits);
-        (0..probs.rows())
-            .map(|r| {
-                let row = probs.row(r);
-                let (class, &p) = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .expect("non-empty row");
-                (class, p)
-            })
-            .collect()
+        classify_with(&mut self.net, features)
     }
 }
 

@@ -6,85 +6,41 @@
 //! wrappers; the kernels trust their arguments (slices of exactly the
 //! documented lengths) and keep the inner loops branch-free.
 //!
-//! Summation orders are part of the contract: each kernel accumulates in
-//! the same order as the reference expression named in its docs, so
-//! results are bit-identical to the allocating path (`matmul`,
-//! `transpose` + `matmul`, `matmul` + `add_row_broadcast`). The
-//! determinism tests and proptests in `tests/kernels_prop.rs` pin this
-//! down to exact `f32` equality.
-
-/// Column-block width of [`matmul_transb`]'s tiled inner loop. 64 columns
-/// of `f32` are 256 bytes — a handful of cache lines per visited row, so a
-/// block of `b` rows stays resident while the block is swept.
-const TRANSB_BLOCK: usize = 64;
+//! Summation orders are part of the contract: every product element starts
+//! at `0.0` and adds its terms over the reduced dimension in increasing
+//! order, exactly like the naive triple loop. The kernels are
+//! register-blocked four terms at a time (`accumulate4`), written as one
+//! left-to-right expression `o = (((o + a0·b0) + a1·b1) + a2·b2) + a3·b3`,
+//! so blocking changes how often `o` travels through memory but never the
+//! order of the adds. Rust does not contract `a·b + c` into an FMA, so the
+//! vector width the compiler picks cannot change a result either. The
+//! proptests in `tests/kernels_prop.rs` pin every kernel to an independent
+//! naive reference with exact `f32` equality.
 
 /// `out = a · b` for row-major `a` (`m × k`), `b` (`k × n`), `out`
 /// (`m × n`).
 ///
-/// i-k-j loop order: the inner loop walks one row of `b` and one row of
-/// `out` contiguously. Accumulation over `k` is in increasing order,
-/// matching the classic triple loop. `out` is overwritten.
+/// i-k-j loop order: the inner loop walks rows of `b` and one row of `out`
+/// contiguously. Four k-steps are folded into each pass over the output
+/// row, so `out` is loaded and stored once per four multiply-adds. `out`
+/// is overwritten.
 pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     out.fill(0.0);
+    let b_row = |kk: usize| &b[kk * n..(kk + 1) * n];
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
         let out_row = &mut out[i * n..(i + 1) * n];
-        for (kk, &av) in a_row.iter().enumerate() {
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
+        let mut kk = 0;
+        while kk + 4 <= k {
+            accumulate4(
+                out_row,
+                [a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]],
+                [b_row(kk), b_row(kk + 1), b_row(kk + 2), b_row(kk + 3)],
+            );
+            kk += 4;
         }
-    }
-}
-
-/// `out = a · bᵀ` for row-major `a` (`m × k`), `b` (`n × k`), `out`
-/// (`m × n`) — the backward-pass kernel (`grad_input = grad_output · Wᵀ`)
-/// that avoids materializing the transpose.
-///
-/// Both operands are traversed along contiguous rows, as a blocked dot
-/// product: `b`'s rows are visited in blocks of [`TRANSB_BLOCK`] so each
-/// block of `b` is reused across every row of `a` while cache-resident.
-/// Inside a block, four output columns are computed at once: a lone dot
-/// product is a sequential float-add chain bound by FP-add latency, while
-/// four independent accumulators keep the multiplier busy. Each
-/// `out[i][j]` still accumulates over `k` in increasing order — exactly
-/// the order `matmul(a, transpose(b))` uses — so results are bit-identical
-/// to the transposing path.
-pub fn matmul_transb(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    for jb in (0..n).step_by(TRANSB_BLOCK) {
-        let jend = (jb + TRANSB_BLOCK).min(n);
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            let mut j = jb;
-            while j + 4 <= jend {
-                let b0 = &b[j * k..(j + 1) * k];
-                let b1 = &b[(j + 1) * k..(j + 2) * k];
-                let b2 = &b[(j + 2) * k..(j + 3) * k];
-                let b3 = &b[(j + 3) * k..(j + 4) * k];
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for ((((&av, &v0), &v1), &v2), &v3) in a_row.iter().zip(b0).zip(b1).zip(b2).zip(b3)
-                {
-                    s0 += av * v0;
-                    s1 += av * v1;
-                    s2 += av * v2;
-                    s3 += av * v3;
-                }
-                out_row[j] = s0;
-                out_row[j + 1] = s1;
-                out_row[j + 2] = s2;
-                out_row[j + 3] = s3;
-                j += 4;
-            }
-            for jj in j..jend {
-                let b_row = &b[jj * k..(jj + 1) * k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in a_row.iter().zip(b_row) {
-                    acc += av * bv;
-                }
-                out_row[jj] = acc;
-            }
+        for (kk, &av) in a_row.iter().enumerate().skip(kk) {
+            accumulate1(out_row, av, b_row(kk));
         }
     }
 }
@@ -95,19 +51,49 @@ pub fn matmul_transb(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, 
 /// transpose.
 ///
 /// The outer loop walks the shared `m` dimension so both operands are read
-/// along contiguous rows; each `out[c][j]` accumulates over the batch rows
-/// in increasing order, matching `matmul(transpose(a), b)` bit-for-bit.
+/// along contiguous rows, four batch rows per pass over `out`; each
+/// `out[c][j]` accumulates over the batch rows in increasing order.
 pub fn matmul_transa(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     out.fill(0.0);
-    for r in 0..m {
-        let a_row = &a[r * k..(r + 1) * k];
-        let b_row = &b[r * n..(r + 1) * n];
-        for (c, &av) in a_row.iter().enumerate() {
-            let out_row = &mut out[c * n..(c + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
+    let a_row = |r: usize| &a[r * k..(r + 1) * k];
+    let b_row = |r: usize| &b[r * n..(r + 1) * n];
+    let mut r = 0;
+    while r + 4 <= m {
+        let (a0, a1, a2, a3) = (a_row(r), a_row(r + 1), a_row(r + 2), a_row(r + 3));
+        let b4 = [b_row(r), b_row(r + 1), b_row(r + 2), b_row(r + 3)];
+        for c in 0..k {
+            accumulate4(
+                &mut out[c * n..(c + 1) * n],
+                [a0[c], a1[c], a2[c], a3[c]],
+                b4,
+            );
         }
+        r += 4;
+    }
+    for r in r..m {
+        let (a_r, b_r) = (a_row(r), b_row(r));
+        for (c, &av) in a_r.iter().enumerate() {
+            accumulate1(&mut out[c * n..(c + 1) * n], av, b_r);
+        }
+    }
+}
+
+/// `out[j] = (((out[j] + s0·r0[j]) + s1·r1[j]) + s2·r2[j]) + s3·r3[j]`:
+/// four terms of a sum over the reduced dimension, added in order.
+#[inline(always)]
+fn accumulate4(out: &mut [f32], s: [f32; 4], rows: [&[f32]; 4]) {
+    let [s0, s1, s2, s3] = s;
+    let [r0, r1, r2, r3] = rows;
+    for ((((o, &v0), &v1), &v2), &v3) in out.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
+        *o = (((*o + s0 * v0) + s1 * v1) + s2 * v2) + s3 * v3;
+    }
+}
+
+/// `out[j] += s·row[j]`: one term, for the remainder of a 4-wide block.
+#[inline(always)]
+fn accumulate1(out: &mut [f32], s: f32, row: &[f32]) {
+    for (o, &v) in out.iter_mut().zip(row) {
+        *o += s * v;
     }
 }
 
@@ -159,16 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn transb_matches_explicit_transpose() {
-        // a (1×3) · bᵀ with b (2×3): out[0][j] = dot(a, b.row(j)).
-        let a = [1.0, 2.0, 3.0];
-        let b = [4.0, 5.0, 6.0, 7.0, 8.0, 9.0];
-        let mut out = [0.0f32; 2];
-        matmul_transb(&a, &b, &mut out, 1, 3, 2);
-        assert_eq!(out, [32.0, 50.0]);
-    }
-
-    #[test]
     fn transa_matches_explicit_transpose() {
         // aᵀ (2×1) · b (1×2) from a (1×2), b (1×2).
         let a = [2.0, 3.0];
@@ -176,28 +152,6 @@ mod tests {
         let mut out = [0.0f32; 4];
         matmul_transa(&a, &b, &mut out, 1, 2, 2);
         assert_eq!(out, [10.0, 14.0, 15.0, 21.0]);
-    }
-
-    #[test]
-    fn transb_blocking_covers_wide_outputs() {
-        // n wider than one block exercises the jb loop.
-        let m = 3;
-        let k = 5;
-        let n = TRANSB_BLOCK + 17;
-        let a: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.25 - 1.0).collect();
-        let b: Vec<f32> = (0..n * k).map(|i| (i % 13) as f32 * 0.5 - 3.0).collect();
-        let mut fast = vec![0.0f32; m * n];
-        matmul_transb(&a, &b, &mut fast, m, k, n);
-        // Reference: materialized transpose through the plain kernel.
-        let mut bt = vec![0.0f32; k * n];
-        for r in 0..n {
-            for c in 0..k {
-                bt[c * n + r] = b[r * k + c];
-            }
-        }
-        let mut slow = vec![0.0f32; m * n];
-        matmul(&a, &bt, &mut slow, m, k, n);
-        assert_eq!(fast, slow);
     }
 
     #[test]

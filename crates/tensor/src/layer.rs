@@ -173,9 +173,12 @@ impl Clone for Box<dyn Layer> {
 ///
 /// Weights are initialized with He-style scaling, appropriate for the ReLU
 /// networks the detector uses. The forward pass is the bias-fused
-/// [`Matrix::addmm_into`]; the backward pass uses the transpose-free
-/// kernels ([`Matrix::matmul_transa_into`], [`Matrix::matmul_transb_into`])
-/// writing into gradient matrices that persist across steps.
+/// [`Matrix::addmm_into`]. The backward pass computes `grad_W` with the
+/// transpose-free [`Matrix::matmul_transa_into`] and `grad · Wᵀ` as a plain
+/// i-k-j [`Matrix::matmul_into`] against a transposed copy of the weights
+/// that persists across steps (refreshed from `W` on every backward, so it
+/// can never go stale after an update or an import), writing into
+/// gradient matrices that also persist.
 ///
 /// # Examples
 ///
@@ -199,6 +202,8 @@ pub struct Dense {
     grad_bias: Matrix,
     vel_weights: Matrix,
     vel_bias: Matrix,
+    /// `Wᵀ` (`out_dim × in_dim`) scratch for the input gradient.
+    weights_t: Matrix,
     cached_input: Matrix,
     cache_valid: bool,
     in_dim: usize,
@@ -224,6 +229,7 @@ impl Dense {
             vel_weights: Matrix::zeros(in_dim, out_dim),
             vel_bias: Matrix::zeros(1, out_dim),
             bias: Matrix::zeros(1, out_dim),
+            weights_t: Matrix::zeros(0, 0),
             cached_input: Matrix::zeros(0, 0),
             cache_valid: false,
             weights,
@@ -298,8 +304,9 @@ impl Layer for Dense {
         self.cached_input
             .matmul_transa_into(grad_output, &mut self.grad_weights)?;
         grad_output.col_sum_into(&mut self.grad_bias);
+        self.weights.transpose_into(&mut self.weights_t);
         let mut grad_in = ws.take(grad_output.rows(), self.in_dim);
-        grad_output.matmul_transb_into(&self.weights, &mut grad_in)?;
+        grad_output.matmul_into(&self.weights_t, &mut grad_in)?;
         Ok(grad_in)
     }
 

@@ -21,23 +21,29 @@ use crate::{Matrix, TensorError};
 /// # Ok::<(), shoggoth_tensor::TensorError>(())
 /// ```
 pub fn softmax(logits: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(logits.rows(), logits.cols());
-    for r in 0..logits.rows() {
-        let row = logits.row(r);
+    let mut out = logits.clone();
+    softmax_in_place(&mut out);
+    out
+}
+
+/// Row-wise softmax computed in place over `values` — the allocation-free
+/// form of [`softmax`] (bit-identical: same operations in the same order)
+/// that detectors run on their workspace-owned logits buffer.
+pub fn softmax_in_place(values: &mut Matrix) {
+    for r in 0..values.rows() {
+        let row = values.row_mut(r);
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0;
-        let out_row = out.row_mut(r);
-        for (o, &v) in out_row.iter_mut().zip(row) {
-            let e = (v - max).exp();
-            *o = e;
+        for v in row.iter_mut() {
+            let e = (*v - max).exp();
+            *v = e;
             sum += e;
         }
         let inv = 1.0 / sum;
-        for o in out_row.iter_mut() {
-            *o *= inv;
+        for v in row.iter_mut() {
+            *v *= inv;
         }
     }
-    out
 }
 
 /// Mean softmax cross-entropy over a batch, with gradient w.r.t. logits.
@@ -87,24 +93,9 @@ pub fn softmax_cross_entropy_into(
             actual: (1, bad + 1),
         });
     }
-    // Softmax computed directly into `grad` (same per-row recipe as
-    // `softmax`), then turned into the gradient in place.
-    grad.resize_zeroed(logits.rows(), logits.cols());
-    for r in 0..logits.rows() {
-        let row = logits.row(r);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        let out_row = grad.row_mut(r);
-        for (o, &v) in out_row.iter_mut().zip(row) {
-            let e = (v - max).exp();
-            *o = e;
-            sum += e;
-        }
-        let inv = 1.0 / sum;
-        for o in out_row.iter_mut() {
-            *o *= inv;
-        }
-    }
+    // Softmax computed in `grad`, then turned into the gradient in place.
+    grad.copy_from(logits);
+    softmax_in_place(grad);
     let n = logits.rows() as f32;
     let mut loss = 0.0;
     for (r, &label) in labels.iter().enumerate() {

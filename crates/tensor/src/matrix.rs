@@ -252,37 +252,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Transposed-B product `self · otherᵀ`, written into `out`: the
-    /// backward-pass kernel (`grad_input = grad_output · Wᵀ`) that never
-    /// materializes the transpose. Blocked inner loop; bit-identical to
-    /// `self.matmul(&other.transpose())`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] unless
-    /// `self.cols == other.cols`.
-    pub fn matmul_transb_into(&self, other: &Matrix, out: &mut Matrix) -> Result<(), TensorError> {
-        if self.cols != other.cols {
-            return Err(TensorError::ShapeMismatch {
-                context: "Matrix::matmul_transb_into",
-                expected: (self.rows, self.cols),
-                actual: (other.rows, other.cols),
-            });
-        }
-        out.resize_zeroed(self.rows, other.rows);
-        kernels::matmul_transb(
-            &self.data,
-            &other.data,
-            &mut out.data,
-            self.rows,
-            self.cols,
-            other.rows,
-        );
-        #[cfg(feature = "finite-check")]
-        out.ensure_finite("Matrix::matmul_transb_into")?;
-        Ok(())
-    }
-
     /// Transposed-A product `selfᵀ · other`, written into `out`: the
     /// gradient-of-weights kernel (`grad_W = inputᵀ · grad_output`) that
     /// never materializes the transpose. Bit-identical to
@@ -379,7 +348,21 @@ impl Matrix {
 
     /// The transpose of the matrix.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
+        let mut out = Matrix::zeros(0, 0);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Writes the transpose of the matrix into `out` (resized, storage
+    /// reused) — how [`crate::Dense`] keeps its persistent `Wᵀ` scratch
+    /// current without allocating.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.resize_zeroed(self.cols, self.rows);
+        for (r, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = v;
+            }
+        }
     }
 
     /// Element-wise sum `self + other`.

@@ -28,6 +28,6 @@ pub mod rng;
 pub mod stats;
 
 pub use ewma::Ewma;
-pub use pool::{available_threads, parallel_map};
+pub use pool::{available_threads, join, parallel_map};
 pub use ring::RingBuffer;
 pub use rng::Rng;

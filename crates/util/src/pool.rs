@@ -13,6 +13,11 @@
 //! sense, and running them through the pool cannot change any reported
 //! number — only the wall-clock time.
 //!
+//! [`join`] is the two-task form of the same contract: it runs two
+//! independent closures (e.g. student and teacher pretraining, each with
+//! its own seeded RNG) side by side and returns both results in argument
+//! order.
+//!
 //! No external dependencies: the pool is `std::thread::scope` plus a
 //! mutex-guarded queue and an mpsc channel, which is plenty for the
 //! coarse-grained work (whole simulations) it schedules.
@@ -94,6 +99,50 @@ where
     })
 }
 
+/// Runs `a` and `b` and returns `(a(), b())`: `b` on a scoped helper
+/// thread while `a` runs on the calling thread, or both inline, `a`
+/// first, when [`available_threads`] resolves to one.
+///
+/// Like [`parallel_map`], the inline path is the specification: as long
+/// as the closures share no mutable state, the results are identical for
+/// every thread count.
+///
+/// # Panics
+///
+/// Re-raises a panic from either closure once both have finished (the
+/// helper thread is always joined first); if both panic, `a`'s payload
+/// wins.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    join_on(available_threads(), a, b)
+}
+
+/// [`join`] with an explicit thread count (`<= 1` runs inline).
+fn join_on<A, B, RA, RB>(threads: usize, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    if threads <= 1 {
+        return (a(), b());
+    }
+    std::thread::scope(|scope| {
+        let helper = scope.spawn(b);
+        // A panic in `a` unwinds into `scope`, which joins `helper` before
+        // re-raising it.
+        let ra = a();
+        match helper.join() {
+            Ok(rb) => (ra, rb),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
 /// Resolves a requested thread count (`0` = auto) to at least one worker.
 fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
@@ -139,6 +188,85 @@ mod tests {
     #[test]
     fn auto_thread_count_is_positive() {
         assert!(available_threads() >= 1);
+    }
+
+    #[test]
+    fn join_is_identical_inline_and_threaded() {
+        let work = |seed: u64| {
+            let mut x = seed;
+            for _ in 0..10_000 {
+                x ^= x >> 29;
+                x = x.wrapping_mul(0xBF58476D1CE4E5B9);
+            }
+            x
+        };
+        let inline = join_on(1, || work(1), || work(2));
+        let threaded = join_on(2, || work(1), || work(2));
+        assert_eq!(inline, threaded);
+        assert_eq!(inline, (work(1), work(2)));
+    }
+
+    #[test]
+    fn join_runs_inline_at_one_thread() {
+        let caller = std::thread::current().id();
+        if available_threads() == 1 {
+            let ids = join(
+                || std::thread::current().id(),
+                || std::thread::current().id(),
+            );
+            assert_eq!(ids, (caller, caller));
+            return;
+        }
+        let (_, helper) = join(|| (), || std::thread::current().id());
+        assert_ne!(helper, caller, "more than one thread, yet no helper");
+        // Re-run this test alone in a child process with one thread, so
+        // this process's environment (shared by parallel tests) is left
+        // untouched.
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["join_runs_inline_at_one_thread", "--test-threads=1"])
+            .env("SHOGGOTH_THREADS", "1")
+            .output()
+            .expect("test binary re-runs");
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(
+            child.status.success() && stdout.contains("1 passed"),
+            "SHOGGOTH_THREADS=1 re-run failed:\n{stdout}"
+        );
+    }
+
+    #[test]
+    fn join_reraises_a_panic_after_both_sides_finish() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        for panicking_side in [0, 1] {
+            let other_finished = AtomicBool::new(false);
+            let (about_to_panic, wait_for_panic) = mpsc::channel::<()>();
+            // The other side only finishes after the panicking side has
+            // started to panic, so the flag shows whether `join` waited.
+            let finished = &other_finished;
+            let other = move || {
+                wait_for_panic.recv().expect("panicking side signals first");
+                finished.store(true, Ordering::SeqCst);
+            };
+            let panicking = move || {
+                about_to_panic.send(()).expect("other side is waiting");
+                panic!("side {panicking_side}");
+            };
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if panicking_side == 0 {
+                    join_on(2, panicking, other);
+                } else {
+                    join_on(2, other, panicking);
+                }
+            }));
+            assert!(
+                result.is_err(),
+                "side {panicking_side}: panic not re-raised"
+            );
+            assert!(
+                other_finished.load(Ordering::SeqCst),
+                "side {panicking_side}: re-raised before the other side finished"
+            );
+        }
     }
 
     #[test]

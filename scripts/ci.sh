@@ -19,6 +19,16 @@ cargo test -q --workspace
 echo "==> cargo test -p shoggoth-tensor --features finite-check"
 cargo test -q -p shoggoth-tensor --features finite-check
 
+# Paper-scale pretraining golden: concurrent build_models == serial
+# pretraining, bit for bit. Too slow unoptimized, so it runs in release.
+echo "==> cargo test --release -p shoggoth --test pretrain_golden"
+cargo test -q --release -p shoggoth --test pretrain_golden
+
+# The stage benchmark is its own cargo workspace; its tests check the
+# workloads, metric names and CLI against BENCHMARK.json.
+echo "==> cargo test --release --offline --manifest-path benchmark/Cargo.toml"
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 # Gating: chaos smoke. A fixed-seed worst-case fault schedule (stacked
 # outages, bursty loss, degradation, jitter, flaky cloud) must complete
 # without a panic; see DESIGN.md §10 (Failure model & resilience). The
