@@ -505,7 +505,9 @@ impl<'a, R: Recorder> Engine<'a, R> {
 
     fn run(mut self) -> Result<SimReport, SimError> {
         let strategy = self.config.strategy;
-        let stream = self.config.stream.build();
+        // The stream owns its seeded RNG and reads no engine state, so
+        // synthesizing it ahead on a helper thread changes no frame.
+        let stream = shoggoth_util::prefetch(self.config.stream.build());
         let fps_cap = self.config.edge_device.idle_inference_fps;
         let mut frames_played = 0u64;
 

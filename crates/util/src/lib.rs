@@ -8,7 +8,8 @@
 //! sampling-rate controller, [`ring`] a fixed-capacity ring buffer used
 //! for recent-frame horizons, and [`pool`] a scoped thread pool whose
 //! index-merged results keep parallel experiment runs bit-identical to
-//! serial ones.
+//! serial ones, plus the [`join`] and [`prefetch`] helpers built on the
+//! same contract.
 //!
 //! # Examples
 //!
@@ -28,6 +29,8 @@ pub mod rng;
 pub mod stats;
 
 pub use ewma::Ewma;
-pub use pool::{available_threads, join, parallel_map};
+pub use pool::{
+    available_threads, join, parallel_map, prefetch, Prefetch, PREFETCH_CHUNK, PREFETCH_DEPTH,
+};
 pub use ring::RingBuffer;
 pub use rng::Rng;

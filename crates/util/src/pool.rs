@@ -18,12 +18,60 @@
 //! its own seeded RNG) side by side and returns both results in argument
 //! order.
 //!
-//! No external dependencies: the pool is `std::thread::scope` plus a
-//! mutex-guarded queue and an mpsc channel, which is plenty for the
-//! coarse-grained work (whole simulations) it schedules.
+//! [`prefetch`] pipelines a producer: it runs an owned iterator (e.g. a
+//! video stream, which owns its seeded RNG) on a helper thread a few
+//! chunks ahead of the consumer, which sees exactly the inline sequence.
+//!
+//! One nesting rule covers all three: code running as a [`parallel_map`]
+//! task never spawns a helper, so [`join`] and [`prefetch`] run inline
+//! there and a pool never puts more threads on the machine than it was
+//! given.
+//!
+//! No external dependencies: the pool is `std::thread` plus a
+//! mutex-guarded queue and mpsc channels, which is plenty for the
+//! coarse-grained work (whole simulations, chunks of frames) it schedules.
 
-use std::sync::mpsc;
+use std::cell::Cell;
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Mutex;
+use std::thread::JoinHandle;
+
+/// Items per chunk a [`prefetch`] helper hands over: one channel
+/// round trip (and at most one wake-up) per chunk instead of per item.
+pub const PREFETCH_CHUNK: usize = 32;
+/// Full chunks a [`prefetch`] channel buffers before the helper blocks;
+/// with the chunk being filled and the one being consumed, at most
+/// `(PREFETCH_DEPTH + 2) * PREFETCH_CHUNK` items are alive at once.
+pub const PREFETCH_DEPTH: usize = 2;
+
+thread_local! {
+    /// Whether this thread is running a [`parallel_map`] task.
+    static IN_POOL_TASK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with this thread marked as running a [`parallel_map`] task,
+/// restoring the previous mark afterwards (also when `f` panics).
+fn as_pool_task<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_POOL_TASK.with(|mark| mark.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_POOL_TASK.with(|mark| mark.replace(true)));
+    f()
+}
+
+/// Threads a helper-spawning call ([`join`], [`prefetch`]) may use: one
+/// inside a [`parallel_map`] task, whose pool already occupies the
+/// threads it was given, else [`available_threads`].
+fn helper_threads() -> usize {
+    if IN_POOL_TASK.with(Cell::get) {
+        1
+    } else {
+        available_threads()
+    }
+}
 
 /// Worker-thread count to use when the caller passes `threads == 0`:
 /// the `SHOGGOTH_THREADS` environment variable when set and positive,
@@ -61,11 +109,13 @@ where
     let n = items.len();
     let workers = resolve_threads(threads).min(n);
     if workers <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
+        return as_pool_task(|| {
+            items
+                .into_iter()
+                .enumerate()
+                .map(|(i, t)| f(i, t))
+                .collect()
+        });
     }
     let queue = Mutex::new(items.into_iter().enumerate());
     let (tx, rx) = mpsc::channel::<(usize, R)>();
@@ -74,18 +124,20 @@ where
             let tx = tx.clone();
             let queue = &queue;
             let f = &f;
-            scope.spawn(move || loop {
-                // Take the next pending item; drop the lock before the
-                // (expensive) call so other workers keep stealing work.
-                let next = match queue.lock() {
-                    Ok(mut guard) => guard.next(),
-                    Err(poisoned) => poisoned.into_inner().next(),
-                };
-                let Some((i, item)) = next else { return };
-                let result = f(i, item);
-                if tx.send((i, result)).is_err() {
-                    return;
-                }
+            scope.spawn(move || {
+                as_pool_task(|| loop {
+                    // Take the next pending item; drop the lock before the
+                    // (expensive) call so other workers keep stealing work.
+                    let next = match queue.lock() {
+                        Ok(mut guard) => guard.next(),
+                        Err(poisoned) => poisoned.into_inner().next(),
+                    };
+                    let Some((i, item)) = next else { return };
+                    let result = f(i, item);
+                    if tx.send((i, result)).is_err() {
+                        return;
+                    }
+                });
             });
         }
         // The workers hold the remaining senders; the receive loop ends
@@ -101,7 +153,8 @@ where
 
 /// Runs `a` and `b` and returns `(a(), b())`: `b` on a scoped helper
 /// thread while `a` runs on the calling thread, or both inline, `a`
-/// first, when [`available_threads`] resolves to one.
+/// first, when [`available_threads`] resolves to one or the caller is a
+/// [`parallel_map`] task.
 ///
 /// Like [`parallel_map`], the inline path is the specification: as long
 /// as the closures share no mutable state, the results are identical for
@@ -118,7 +171,7 @@ where
     B: FnOnce() -> RB + Send,
     RB: Send,
 {
-    join_on(available_threads(), a, b)
+    join_on(helper_threads(), a, b)
 }
 
 /// [`join`] with an explicit thread count (`<= 1` runs inline).
@@ -141,6 +194,136 @@ where
             Err(payload) => std::panic::resume_unwind(payload),
         }
     })
+}
+
+/// Runs `iter` on a helper thread, [`PREFETCH_CHUNK`] items at a time
+/// and up to [`PREFETCH_DEPTH`] chunks ahead of the consumer, and yields
+/// its items in order: the sequence `iter` yields up to its first `None`.
+/// Runs `iter` inline, with no thread, when [`available_threads`]
+/// resolves to one or the caller is a [`parallel_map`] task.
+///
+/// The inline path is the specification. Prefetching changes only when
+/// `iter` runs, so it is invisible exactly when `iter` shares no state
+/// with the consumer: an iterator that owns its seeded RNG and reads
+/// nothing the consumer writes yields the same items either way.
+///
+/// Dropping the result early stops the helper after the chunk it is
+/// filling and joins it; items produced past that point are discarded,
+/// as the inline iterator would never have produced them.
+///
+/// # Panics
+///
+/// Panics if the helper thread cannot be spawned. A panic inside `iter`
+/// is re-raised on the consumer once it has received every item produced
+/// before the panic.
+pub fn prefetch<I>(iter: I) -> Prefetch<I>
+where
+    I: Iterator + Send + 'static,
+    I::Item: Send + 'static,
+{
+    prefetch_on(helper_threads(), iter)
+}
+
+/// [`prefetch`] with an explicit thread count (`<= 1` runs inline).
+fn prefetch_on<I>(threads: usize, mut iter: I) -> Prefetch<I>
+where
+    I: Iterator + Send + 'static,
+    I::Item: Send + 'static,
+{
+    if threads <= 1 {
+        return Prefetch(Source::Inline(iter));
+    }
+    let (tx, rx) = mpsc::sync_channel(PREFETCH_DEPTH);
+    let helper = std::thread::spawn(move || loop {
+        let mut chunk = Vec::with_capacity(PREFETCH_CHUNK);
+        // Catch a panic so the items before it still reach the
+        // consumer; re-raise it afterwards for `join` to collect.
+        let filled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            chunk.extend(iter.by_ref().take(PREFETCH_CHUNK));
+        }));
+        let done = chunk.len() < PREFETCH_CHUNK;
+        if !chunk.is_empty() && tx.send(chunk).is_err() {
+            return; // the consumer is gone
+        }
+        if let Err(payload) = filled {
+            std::panic::resume_unwind(payload);
+        }
+        if done {
+            return;
+        }
+    });
+    Prefetch(Source::Helper {
+        chunk: Vec::new().into_iter(),
+        live: Some((rx, helper)),
+    })
+}
+
+/// The iterator [`prefetch`] returns.
+pub struct Prefetch<I: Iterator>(Source<I>);
+
+enum Source<I: Iterator> {
+    Inline(I),
+    Helper {
+        /// The chunk being consumed.
+        chunk: std::vec::IntoIter<I::Item>,
+        /// The channel of filled chunks and the helper filling it; `None`
+        /// once the helper has finished.
+        live: Option<(Chunks<I::Item>, JoinHandle<()>)>,
+    },
+}
+
+/// The receiving end of a [`prefetch`] helper's channel.
+type Chunks<T> = Receiver<Vec<T>>;
+
+impl<I: Iterator> Iterator for Prefetch<I> {
+    type Item = I::Item;
+
+    fn next(&mut self) -> Option<I::Item> {
+        let (chunk, live) = match &mut self.0 {
+            Source::Inline(iter) => return iter.next(),
+            Source::Helper { chunk, live } => (chunk, live),
+        };
+        loop {
+            if let Some(item) = chunk.next() {
+                return Some(item);
+            }
+            let (rx, _) = live.as_ref()?;
+            match rx.recv() {
+                Ok(next) => *chunk = next.into_iter(),
+                // The helper dropped its sender: it finished or panicked.
+                Err(_) => {
+                    let (_, helper) = live.take()?;
+                    if let Err(payload) = helper.join() {
+                        std::panic::resume_unwind(payload);
+                    }
+                    return None;
+                }
+            }
+        }
+    }
+}
+
+impl<I: Iterator> std::fmt::Debug for Prefetch<I> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let inline = matches!(self.0, Source::Inline(_));
+        f.debug_struct("Prefetch")
+            .field("inline", &inline)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<I: Iterator> Drop for Prefetch<I> {
+    fn drop(&mut self) {
+        if let Source::Helper { live, .. } = &mut self.0 {
+            if let Some((rx, helper)) = live.take() {
+                // Disconnect first, so a helper blocked on a full channel
+                // wakes up and returns.
+                drop(rx);
+                // A panic past the items consumed is discarded with them.
+                let _ = helper.join();
+            }
+        }
+    }
 }
 
 /// Resolves a requested thread count (`0` = auto) to at least one worker.
@@ -219,18 +402,121 @@ mod tests {
         }
         let (_, helper) = join(|| (), || std::thread::current().id());
         assert_ne!(helper, caller, "more than one thread, yet no helper");
-        // Re-run this test alone in a child process with one thread, so
-        // this process's environment (shared by parallel tests) is left
-        // untouched.
+        rerun_at_one_thread("join_runs_inline_at_one_thread");
+    }
+
+    /// Re-runs the test `name` alone in a child process with
+    /// `SHOGGOTH_THREADS=1`, so this process's environment (shared by
+    /// parallel tests) is left untouched.
+    fn rerun_at_one_thread(name: &str) {
         let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
-            .args(["join_runs_inline_at_one_thread", "--test-threads=1"])
+            .args([name, "--test-threads=1"])
             .env("SHOGGOTH_THREADS", "1")
             .output()
             .expect("test binary re-runs");
         let stdout = String::from_utf8_lossy(&child.stdout);
         assert!(
             child.status.success() && stdout.contains("1 passed"),
-            "SHOGGOTH_THREADS=1 re-run failed:\n{stdout}"
+            "SHOGGOTH_THREADS=1 re-run of {name} failed:\n{stdout}"
+        );
+    }
+
+    /// The thread each item of `prefetch(...)` was produced on.
+    fn producer_ids() -> Vec<std::thread::ThreadId> {
+        prefetch(std::iter::repeat_with(|| std::thread::current().id()).take(3)).collect()
+    }
+
+    #[test]
+    fn prefetch_runs_inline_at_one_thread() {
+        let caller = std::thread::current().id();
+        if available_threads() == 1 {
+            assert_eq!(producer_ids(), vec![caller; 3]);
+            return;
+        }
+        let ids = producer_ids();
+        assert!(
+            ids.iter().all(|&id| id != caller),
+            "more than one thread, yet no helper"
+        );
+        rerun_at_one_thread("prefetch_runs_inline_at_one_thread");
+    }
+
+    #[test]
+    fn prefetch_yields_the_inline_sequence() {
+        let c = PREFETCH_CHUNK;
+        for len in [0, 1, c - 1, c, c + 1, 3 * c] {
+            let source = move || (0..len).map(|i| format!("item {i}"));
+            let inline: Vec<String> = source().collect();
+            for threads in [1, 2] {
+                let got: Vec<String> = prefetch_on(threads, source()).collect();
+                assert_eq!(got, inline, "len = {len}, threads = {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn prefetch_reraises_a_producer_panic_after_the_items_before_it() {
+        let panic_at = PREFETCH_CHUNK + 5;
+        let source = (0..).inspect(move |&i| assert!(i < panic_at, "producer fails at {i}"));
+        let mut received = Vec::new();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for item in prefetch_on(2, source) {
+                received.push(item);
+            }
+        }));
+        let payload = result.expect_err("panic not re-raised on the consumer");
+        let message = payload.downcast_ref::<String>().expect("formatted panic");
+        assert_eq!(message, &format!("producer fails at {panic_at}"));
+        assert_eq!(received, (0..panic_at).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn dropping_prefetch_early_stops_and_joins_the_helper() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        /// An endless counter that flags when it is dropped.
+        struct Endless(u64, Arc<AtomicBool>);
+        impl Iterator for Endless {
+            type Item = u64;
+            fn next(&mut self) -> Option<u64> {
+                self.0 += 1;
+                Some(self.0)
+            }
+        }
+        impl Drop for Endless {
+            fn drop(&mut self) {
+                self.1.store(true, Ordering::SeqCst);
+            }
+        }
+        let dropped = Arc::new(AtomicBool::new(false));
+        let mut items = prefetch_on(2, Endless(0, Arc::clone(&dropped)));
+        let first: Vec<u64> = items.by_ref().take(3).collect();
+        assert_eq!(first, vec![1, 2, 3]);
+        drop(items);
+        // The helper owns the iterator, so it was dropped only if the
+        // helper returned, and `drop` joined it.
+        assert!(dropped.load(Ordering::SeqCst), "helper still running");
+    }
+
+    #[test]
+    fn join_and_prefetch_run_inline_in_pool_tasks() {
+        for items in [1, 2] {
+            let ids = parallel_map(vec![(); items], 2, |_, ()| {
+                let me = std::thread::current().id();
+                let (a, b) = join(
+                    || std::thread::current().id(),
+                    || std::thread::current().id(),
+                );
+                (me, a, b, producer_ids())
+            });
+            for (me, a, b, produced) in ids {
+                assert_eq!((a, b), (me, me), "items = {items}: join spawned");
+                assert_eq!(produced, vec![me; 3], "items = {items}: prefetch spawned");
+            }
+        }
+        assert!(
+            !IN_POOL_TASK.with(Cell::get),
+            "the pool-task mark outlived the pool"
         );
     }
 

@@ -154,15 +154,28 @@ pub struct VideoStream {
     scene_offset: u64,
     objects: Vec<ActiveObject>,
     next_track_id: u64,
-    /// Domain in effect last frame (for cache invalidation).
-    current_domain: Domain,
-    in_transition_last: bool,
+    /// Library index of the current scene's domain as of the last frame
+    /// (for cache invalidation).
+    domain_index: usize,
+    /// The blended domain, while a scene transition runs; it overrides
+    /// `domain_index` (see [`active_domain`]).
+    blend: Option<Domain>,
+}
+
+/// The domain in effect: a running transition's `blend`, else the
+/// library's `index`-th domain. A function of the fields rather than a
+/// method, so callers can borrow the stream's RNG and objects alongside.
+fn active_domain<'a>(
+    library: &'a DomainLibrary,
+    blend: Option<&'a Domain>,
+    index: usize,
+) -> &'a Domain {
+    blend.unwrap_or_else(|| library.domain(index))
 }
 
 impl VideoStream {
     fn new(config: StreamConfig) -> Self {
         let mut rng = Rng::seed_from(config.seed ^ 0x5354_5245_414d); // "STREAM"
-        let current_domain = config.library.domain(config.scenes[0].domain_index).clone();
         let mut stream = Self {
             rng: rng.fork(),
             frame_index: 0,
@@ -170,8 +183,8 @@ impl VideoStream {
             scene_offset: 0,
             objects: Vec::new(),
             next_track_id: 0,
-            current_domain,
-            in_transition_last: false,
+            domain_index: config.scenes[0].domain_index,
+            blend: None,
             config,
         };
         // Pre-populate the first scene so frame 0 is not empty.
@@ -191,30 +204,27 @@ impl VideoStream {
         self.config.total_frames() - self.frame_index
     }
 
-    /// The domain (with any transition blending) in effect at the scene
-    /// position `(scene_index, scene_offset)`.
-    fn effective_domain(&self, scene_index: usize, scene_offset: u64) -> (Domain, bool) {
+    /// The blend of the previous scene's domain into the current one's
+    /// at the current scene position, while a transition runs.
+    fn transition_blend(&self) -> Option<Domain> {
         let lib = &self.config.library;
-        let target = lib.domain(self.config.scenes[scene_index].domain_index);
         let t_frames = self.config.transition_frames;
-        if scene_index > 0 && t_frames > 0 && scene_offset < t_frames {
+        let (scene_index, scene_offset) = (self.scene_index, self.scene_offset);
+        (scene_index > 0 && t_frames > 0 && scene_offset < t_frames).then(|| {
             let prev = lib.domain(self.config.scenes[scene_index - 1].domain_index);
-            let t = (scene_offset + 1) as f32 / t_frames as f32;
-            (prev.lerp(target, t), true)
-        } else {
-            (target.clone(), false)
-        }
+            let target = lib.domain(self.config.scenes[scene_index].domain_index);
+            prev.lerp(target, (scene_offset + 1) as f32 / t_frames as f32)
+        })
     }
 
     fn spawn_object(&mut self) {
-        let dim = self.config.library.world().feature_dim();
-        let class = self.current_domain.sample_class(&mut self.rng);
-        let jitter: Vec<f32> = (0..dim)
+        let library = &self.config.library;
+        let domain = active_domain(library, self.blend.as_ref(), self.domain_index);
+        let class = domain.sample_class(&mut self.rng);
+        let jitter: Vec<f32> = (0..library.world().feature_dim())
             .map(|_| self.rng.next_gaussian_f32(0.0, 0.45))
             .collect();
-        let base_appearance =
-            self.current_domain
-                .object_appearance(self.config.library.world(), class, &jitter);
+        let base_appearance = domain.object_appearance(library.world(), class, &jitter);
         let size = self.rng.range_f64(0.05, 0.25) as f32;
         let bbox = BBox::new(
             self.rng.range_f64(0.0, (1.0 - size) as f64) as f32,
@@ -272,42 +282,41 @@ impl VideoStream {
     }
 
     fn refresh_appearances(&mut self) {
-        let world = self.config.library.world().clone();
-        let domain = self.current_domain.clone();
+        let library = &self.config.library;
+        let domain = active_domain(library, self.blend.as_ref(), self.domain_index);
         for obj in &mut self.objects {
-            obj.base_appearance = domain.object_appearance(&world, obj.class, &obj.jitter);
+            obj.base_appearance = domain.object_appearance(library.world(), obj.class, &obj.jitter);
         }
     }
 
-    fn make_proposals(&mut self, domain: &Domain) -> Vec<Proposal> {
+    fn make_proposals(&mut self) -> Vec<Proposal> {
+        let domain = active_domain(&self.config.library, self.blend.as_ref(), self.domain_index);
         let noise = domain.noise_std();
         let mut proposals =
             Vec::with_capacity(self.objects.len() + self.config.background_proposals);
         let jitter_frac = self.config.bbox_jitter;
         let miss_rate = self.config.proposal_miss_rate;
         // Object proposals.
-        for i in 0..self.objects.len() {
+        for o in &self.objects {
             if self.rng.bernoulli(miss_rate) {
                 continue;
             }
-            let (bbox, class, track_id, base) = {
-                let o = &self.objects[i];
-                (o.bbox, o.class, o.track_id, o.base_appearance.clone())
-            };
+            let bbox = o.bbox;
             let dx = self.rng.next_gaussian_f32(0.0, jitter_frac * bbox.w);
             let dy = self.rng.next_gaussian_f32(0.0, jitter_frac * bbox.h);
             let sw = (1.0 + self.rng.next_gaussian_f32(0.0, jitter_frac)).clamp(0.6, 1.5);
             let sh = (1.0 + self.rng.next_gaussian_f32(0.0, jitter_frac)).clamp(0.6, 1.5);
             let proposal_box = BBox::new(bbox.x + dx, bbox.y + dy, bbox.w * sw, bbox.h * sh);
-            let features: Vec<f32> = base
+            let features: Vec<f32> = o
+                .base_appearance
                 .iter()
                 .map(|&v| v + self.rng.next_gaussian_f32(0.0, noise))
                 .collect();
             proposals.push(Proposal {
                 bbox: proposal_box,
                 features,
-                true_class: Some(class),
-                track_id: Some(track_id),
+                true_class: Some(o.class),
+                track_id: Some(o.track_id),
             });
         }
         // Background distractors.
@@ -349,11 +358,12 @@ impl Iterator for VideoStream {
             }
         }
 
-        let (domain, in_transition) = self.effective_domain(self.scene_index, self.scene_offset);
+        let blend = self.transition_blend();
+        let domain_index = self.config.scenes[self.scene_index].domain_index;
         let domain_changed =
-            domain.name != self.current_domain.name || in_transition || self.in_transition_last;
-        self.current_domain = domain.clone();
-        self.in_transition_last = in_transition;
+            domain_index != self.domain_index || blend.is_some() || self.blend.is_some();
+        self.domain_index = domain_index;
+        self.blend = blend;
         if domain_changed {
             self.refresh_appearances();
         }
@@ -370,7 +380,8 @@ impl Iterator for VideoStream {
                 bbox: o.bbox,
             })
             .collect();
-        let proposals = self.make_proposals(&domain);
+        let proposals = self.make_proposals();
+        let domain = active_domain(&self.config.library, self.blend.as_ref(), self.domain_index);
 
         let (w, h) = self.config.resolution;
         let frame = Frame {
