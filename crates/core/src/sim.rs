@@ -620,19 +620,14 @@ impl<'a, R: Recorder> Engine<'a, R> {
             }
 
             // Evaluation.
-            let frame_map = frame_map_at_05(
-                &FrameEval {
-                    detections: detections.clone(),
-                    ground_truth: frame.ground_truth.clone(),
-                },
-                self.num_classes,
-            );
-            self.per_frame_map.push(frame_map);
-            let detection_count = detections.len();
-            self.frame_evals.push(FrameEval {
+            let eval = FrameEval {
                 detections,
                 ground_truth: frame.ground_truth,
-            });
+            };
+            let frame_map = frame_map_at_05(&eval, self.num_classes);
+            self.per_frame_map.push(frame_map);
+            let detection_count = eval.detections.len();
+            self.frame_evals.push(eval);
 
             // The per-frame status sample: the telemetry timeline's
             // backbone, emitted once per played frame after evaluation.

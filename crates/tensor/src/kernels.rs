@@ -8,41 +8,287 @@
 //!
 //! Summation orders are part of the contract: every product element starts
 //! at `0.0` and adds its terms over the reduced dimension in increasing
-//! order, exactly like the naive triple loop. The kernels are
-//! register-blocked four terms at a time (`accumulate4`), written as one
-//! left-to-right expression `o = (((o + a0·b0) + a1·b1) + a2·b2) + a3·b3`,
-//! so blocking changes how often `o` travels through memory but never the
-//! order of the adds. Rust does not contract `a·b + c` into an FMA, so the
-//! vector width the compiler picks cannot change a result either. The
-//! proptests in `tests/kernels_prop.rs` pin every kernel to an independent
-//! naive reference with exact `f32` equality.
+//! order, exactly like the naive triple loop. The two products are
+//! register-tiled: the output is cut into tiles of up to 4 rows × 8
+//! columns (row blocks of 4 with a 3-, 2- or 1-row remainder tile; column
+//! tiles of 8, then 4, then 1), and each tile's accumulators stay in
+//! registers over the whole reduction and are stored once. Each
+//! accumulator still runs `acc = 0.0; acc += a·b` term by term in the
+//! naive order, so tiling changes which elements are computed side by
+//! side but never the order of any element's adds. Rust does not contract
+//! `a·b + c` into an FMA, so the vector width the compiler picks cannot
+//! change a result either. The proptests in `tests/kernels_prop.rs` pin
+//! every kernel to an independent naive reference with exact `f32`
+//! equality.
+//!
+//! When the output is at least 8 columns wide, each row block first
+//! copies its left-operand values into a stack panel, each value repeated
+//! across a 16-byte lane group ([`Splat`]). The tiles then multiply by
+//! whole lane groups instead of shuffling a scalar into every lane on
+//! every reduction step, and the panel is shared by all the block's
+//! column tiles. Narrower outputs (the 4- and 5-wide detection heads) and
+//! reductions deeper than the largest panel read the operands directly.
+
+/// Rows per full output tile.
+const TILE_ROWS: usize = 4;
+
+/// Columns per full output tile.
+const TILE_COLS: usize = 8;
+
+/// Deepest reduction a stack panel holds (8 KB of [`Splat`]s).
+const MAX_PANEL_DEPTH: usize = 128;
+
+/// One left-operand value repeated across a 16-byte-aligned group of
+/// four lanes, so a tile multiplies by it with a plain aligned load.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(16))]
+struct Splat([f32; 4]);
+
+/// A row block's left-operand values: `panel[t][r]` holds the value that
+/// multiplies row `t` of the right operand in output row `r` of the block.
+type Panel = [[Splat; TILE_ROWS]];
+
+/// A product whose output element `(i, j)` is `Σ_t left(i, t) · b[t][j]`
+/// over `t = 0, 1, …, depth−1`, for a row-major right operand `b`
+/// (`depth × n`).
+trait Product {
+    /// The right operand and its width `n`.
+    fn b(&self) -> (&[f32], usize);
+    /// Length of the reduced dimension.
+    fn depth(&self) -> usize;
+    /// Fills `panel[t][r]` with `left(i + r, t)` for `r < rows`.
+    fn fill_panel(&self, i: usize, rows: usize, panel: &mut Panel);
+    /// The `R × C` output tile at `(i, j)`, reading the left operand in
+    /// place.
+    fn tile<const R: usize, const C: usize>(&self, i: usize, j: usize) -> [[f32; C]; R];
+}
+
+/// `a · b` for row-major `a` (`m × k`) and `b` (`k × n`):
+/// `left(i, t) = a[i][t]`.
+struct Forward<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    k: usize,
+    n: usize,
+}
+
+impl Product for Forward<'_> {
+    fn b(&self) -> (&[f32], usize) {
+        (self.b, self.n)
+    }
+
+    fn depth(&self) -> usize {
+        self.k
+    }
+
+    fn fill_panel(&self, i: usize, rows: usize, panel: &mut Panel) {
+        for r in 0..rows {
+            let a_row = &self.a[(i + r) * self.k..][..self.k];
+            for (slot, &v) in panel.iter_mut().zip(a_row) {
+                slot[r] = Splat([v; 4]);
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn tile<const R: usize, const C: usize>(&self, i: usize, j: usize) -> [[f32; C]; R] {
+        let k = self.k;
+        let a_rows: [&[f32]; R] = std::array::from_fn(|r| &self.a[(i + r) * k..][..k]);
+        let mut acc = [[0.0f32; C]; R];
+        for (t, b_row) in (0..k).zip(self.b.chunks_exact(self.n)) {
+            let bv = &b_row[j..j + C];
+            for (acc_row, a_row) in acc.iter_mut().zip(&a_rows) {
+                let av = a_row[t];
+                for (o, &v) in acc_row.iter_mut().zip(bv) {
+                    *o += av * v;
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// `aᵀ · b` for row-major `a` (`m × k`) and `b` (`m × n`):
+/// `left(c, t) = a[t][c]`.
+struct TransA<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+}
+
+impl Product for TransA<'_> {
+    fn b(&self) -> (&[f32], usize) {
+        (self.b, self.n)
+    }
+
+    fn depth(&self) -> usize {
+        self.m
+    }
+
+    fn fill_panel(&self, c: usize, rows: usize, panel: &mut Panel) {
+        for (slot, a_row) in panel.iter_mut().zip(self.a.chunks_exact(self.k)) {
+            for (s, &v) in slot.iter_mut().zip(&a_row[c..c + rows]) {
+                *s = Splat([v; 4]);
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn tile<const R: usize, const C: usize>(&self, c: usize, j: usize) -> [[f32; C]; R] {
+        let mut acc = [[0.0f32; C]; R];
+        let rows = self.a.chunks_exact(self.k).zip(self.b.chunks_exact(self.n));
+        for (a_row, b_row) in rows.take(self.m) {
+            let av = &a_row[c..c + R];
+            let bv = &b_row[j..j + C];
+            for (acc_row, &a) in acc.iter_mut().zip(av) {
+                for (o, &v) in acc_row.iter_mut().zip(bv) {
+                    *o += a * v;
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// Where a row block's tiles read their left-operand values from.
+trait TileSource {
+    /// Readies output rows `i..i + rows` (at most [`TILE_ROWS`]).
+    fn prepare(&mut self, i: usize, rows: usize);
+    /// The `R × C` output tile at `(i, j)` of the prepared block.
+    fn tile<const R: usize, const C: usize>(&self, i: usize, j: usize) -> [[f32; C]; R];
+}
+
+/// Tiles that read the left operand in place.
+struct Direct<'p, P>(&'p P);
+
+impl<P: Product> TileSource for Direct<'_, P> {
+    fn prepare(&mut self, _i: usize, _rows: usize) {}
+
+    #[inline(always)]
+    fn tile<const R: usize, const C: usize>(&self, i: usize, j: usize) -> [[f32; C]; R] {
+        self.0.tile::<R, C>(i, j)
+    }
+}
+
+/// Tiles that read the left operand from a stack panel of up to `D`
+/// reduction steps, filled once per row block.
+struct Panelled<'p, P, const D: usize> {
+    product: &'p P,
+    storage: [[Splat; TILE_ROWS]; D],
+}
+
+impl<P: Product, const D: usize> TileSource for Panelled<'_, P, D> {
+    fn prepare(&mut self, i: usize, rows: usize) {
+        let depth = self.product.depth();
+        self.product.fill_panel(i, rows, &mut self.storage[..depth]);
+    }
+
+    #[inline(always)]
+    fn tile<const R: usize, const C: usize>(&self, _i: usize, j: usize) -> [[f32; C]; R] {
+        let (b, n) = self.product.b();
+        let mut acc = [[0.0f32; C]; R];
+        for (splats, b_row) in self.storage.iter().zip(b.chunks_exact(n)) {
+            let bv = &b_row[j..j + C];
+            for (acc_row, splat) in acc.iter_mut().zip(splats) {
+                for (c, (o, &v)) in acc_row.iter_mut().zip(bv).enumerate() {
+                    *o += splat.0[c % 4] * v;
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// Fills `out` (`m × n`, row-major) with `product`, tile by tile.
+///
+/// Outputs at least [`TILE_COLS`] wide go through the smallest stack
+/// panel that holds the reduction; narrower outputs, whose few column
+/// tiles would not repay the copy, and reductions deeper than
+/// [`MAX_PANEL_DEPTH`] read the operands in place.
+fn tiled(product: &impl Product, out: &mut [f32], m: usize, n: usize) {
+    let depth = product.depth();
+    if n < TILE_COLS || depth > MAX_PANEL_DEPTH {
+        row_blocks(&mut Direct(product), out, m, n);
+    } else if depth <= 32 {
+        row_blocks(&mut panelled::<_, 32>(product), out, m, n);
+    } else if depth <= 64 {
+        row_blocks(&mut panelled::<_, 64>(product), out, m, n);
+    } else {
+        row_blocks(&mut panelled::<_, MAX_PANEL_DEPTH>(product), out, m, n);
+    }
+}
+
+/// A [`Panelled`] source with zeroed storage.
+fn panelled<P, const D: usize>(product: &P) -> Panelled<'_, P, D> {
+    Panelled {
+        product,
+        storage: [[Splat([0.0; 4]); TILE_ROWS]; D],
+    }
+}
+
+/// Fills the output rows in blocks of [`TILE_ROWS`], then one 3-, 2- or
+/// 1-row remainder block.
+fn row_blocks(source: &mut impl TileSource, out: &mut [f32], m: usize, n: usize) {
+    let mut i = 0;
+    while i + TILE_ROWS <= m {
+        source.prepare(i, TILE_ROWS);
+        row_block::<TILE_ROWS>(source, out, i, n);
+        i += TILE_ROWS;
+    }
+    let rows = m - i;
+    if rows > 0 {
+        source.prepare(i, rows);
+    }
+    match rows {
+        3 => row_block::<3>(source, out, i, n),
+        2 => row_block::<2>(source, out, i, n),
+        1 => row_block::<1>(source, out, i, n),
+        _ => {}
+    }
+}
+
+/// Fills output rows `i..i + R` in column tiles of 8, then 4, then 1,
+/// storing each finished tile once.
+#[inline(always)]
+fn row_block<const R: usize>(source: &impl TileSource, out: &mut [f32], i: usize, n: usize) {
+    let mut j = 0;
+    while j + TILE_COLS <= n {
+        store(out, i, j, n, source.tile::<R, TILE_COLS>(i, j));
+        j += TILE_COLS;
+    }
+    if j + 4 <= n {
+        store(out, i, j, n, source.tile::<R, 4>(i, j));
+        j += 4;
+    }
+    for j in j..n {
+        store(out, i, j, n, source.tile::<R, 1>(i, j));
+    }
+}
+
+/// Writes a finished tile at output element `(i, j)`.
+#[inline(always)]
+fn store<const R: usize, const C: usize>(
+    out: &mut [f32],
+    i: usize,
+    j: usize,
+    n: usize,
+    tile: [[f32; C]; R],
+) {
+    for (r, row) in tile.iter().enumerate() {
+        out[(i + r) * n + j..][..C].copy_from_slice(row);
+    }
+}
 
 /// `out = a · b` for row-major `a` (`m × k`), `b` (`k × n`), `out`
 /// (`m × n`).
 ///
-/// i-k-j loop order: the inner loop walks rows of `b` and one row of `out`
-/// contiguously. Four k-steps are folded into each pass over the output
-/// row, so `out` is loaded and stored once per four multiply-adds. `out`
-/// is overwritten.
+/// Register-tiled over the output (see the module docs); each tile walks
+/// the rows of `b` in increasing `k`. Every element of `out` is
+/// overwritten.
 pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    out.fill(0.0);
-    let b_row = |kk: usize| &b[kk * n..(kk + 1) * n];
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        let mut kk = 0;
-        while kk + 4 <= k {
-            accumulate4(
-                out_row,
-                [a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]],
-                [b_row(kk), b_row(kk + 1), b_row(kk + 2), b_row(kk + 3)],
-            );
-            kk += 4;
-        }
-        for (kk, &av) in a_row.iter().enumerate().skip(kk) {
-            accumulate1(out_row, av, b_row(kk));
-        }
-    }
+    tiled(&Forward { a, b, k, n }, out, m, n);
 }
 
 /// `out = aᵀ · b` for row-major `a` (`m × k`), `b` (`m × n`), `out`
@@ -50,51 +296,12 @@ pub fn matmul(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
 /// (`grad_W = inputᵀ · grad_output`) that avoids materializing the
 /// transpose.
 ///
-/// The outer loop walks the shared `m` dimension so both operands are read
-/// along contiguous rows, four batch rows per pass over `out`; each
-/// `out[c][j]` accumulates over the batch rows in increasing order.
+/// Register-tiled over the output like [`matmul`]; each tile walks the
+/// shared `m` dimension, reading both operands along contiguous rows, so
+/// each `out[c][j]` accumulates over the batch rows in increasing order.
+/// Every element of `out` is overwritten.
 pub fn matmul_transa(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    out.fill(0.0);
-    let a_row = |r: usize| &a[r * k..(r + 1) * k];
-    let b_row = |r: usize| &b[r * n..(r + 1) * n];
-    let mut r = 0;
-    while r + 4 <= m {
-        let (a0, a1, a2, a3) = (a_row(r), a_row(r + 1), a_row(r + 2), a_row(r + 3));
-        let b4 = [b_row(r), b_row(r + 1), b_row(r + 2), b_row(r + 3)];
-        for c in 0..k {
-            accumulate4(
-                &mut out[c * n..(c + 1) * n],
-                [a0[c], a1[c], a2[c], a3[c]],
-                b4,
-            );
-        }
-        r += 4;
-    }
-    for r in r..m {
-        let (a_r, b_r) = (a_row(r), b_row(r));
-        for (c, &av) in a_r.iter().enumerate() {
-            accumulate1(&mut out[c * n..(c + 1) * n], av, b_r);
-        }
-    }
-}
-
-/// `out[j] = (((out[j] + s0·r0[j]) + s1·r1[j]) + s2·r2[j]) + s3·r3[j]`:
-/// four terms of a sum over the reduced dimension, added in order.
-#[inline(always)]
-fn accumulate4(out: &mut [f32], s: [f32; 4], rows: [&[f32]; 4]) {
-    let [s0, s1, s2, s3] = s;
-    let [r0, r1, r2, r3] = rows;
-    for ((((o, &v0), &v1), &v2), &v3) in out.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3) {
-        *o = (((*o + s0 * v0) + s1 * v1) + s2 * v2) + s3 * v3;
-    }
-}
-
-/// `out[j] += s·row[j]`: one term, for the remainder of a 4-wide block.
-#[inline(always)]
-fn accumulate1(out: &mut [f32], s: f32, row: &[f32]) {
-    for (o, &v) in out.iter_mut().zip(row) {
-        *o += s * v;
-    }
+    tiled(&TransA { a, b, m, k, n }, out, k, n);
 }
 
 /// Adds the row vector `bias` (`n` wide) to every row of `out` (`m × n`)

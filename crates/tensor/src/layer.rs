@@ -174,8 +174,8 @@ impl Clone for Box<dyn Layer> {
 /// Weights are initialized with He-style scaling, appropriate for the ReLU
 /// networks the detector uses. The forward pass is the bias-fused
 /// [`Matrix::addmm_into`]. The backward pass computes `grad_W` with the
-/// transpose-free [`Matrix::matmul_transa_into`] and `grad · Wᵀ` as a plain
-/// i-k-j [`Matrix::matmul_into`] against a transposed copy of the weights
+/// transpose-free [`Matrix::matmul_transa_into`] and `grad · Wᵀ` as an
+/// ordinary [`Matrix::matmul_into`] against a transposed copy of the weights
 /// that persists across steps (refreshed from `W` on every backward, so it
 /// can never go stale after an update or an import), writing into
 /// gradient matrices that also persist.

@@ -7,8 +7,8 @@
 //!
 //! * [`Matrix`] — dense row-major `f32` matrices (a mini-batch is a matrix).
 //! * [`Dense`], [`Relu`], [`Tanh`] — layers with full backpropagation.
-//! * [`BatchNorm`] and [`BatchRenorm`] — the paper replaces BN with Batch
-//!   Renormalization (Ioffe 2017) for robust small-batch training.
+//! * [`BatchRenorm`] — the paper replaces BN with Batch Renormalization
+//!   (Ioffe 2017) for robust small-batch training.
 //! * [`SgdConfig`] — mini-batch SGD with momentum, weight decay, and
 //!   *per-layer learning-rate scaling* (the paper's freeze policy sets the
 //!   front layers' rate to zero while BRN statistics keep adapting).
@@ -72,7 +72,7 @@ pub mod workspace;
 pub use layer::{Dense, Layer, Mode, ParamCursor, Relu, Tanh};
 pub use matrix::Matrix;
 pub use net::Mlp;
-pub use norm::{BatchNorm, BatchRenorm};
+pub use norm::BatchRenorm;
 pub use sgd::SgdConfig;
 pub use workspace::Workspace;
 

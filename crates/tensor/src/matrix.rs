@@ -203,11 +203,10 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, other.cols);
-        // i-k-j loop order keeps the inner loop contiguous in both `other`
-        // and `out`, which matters even at these sizes. The kernel is
-        // branch-free: dense multiplies no longer pay a per-element
-        // zero-skip test (a sparse-aware entry point can bring it back if
-        // sparsity ever matters).
+        // The register-tiled kernel reads rows of `other` contiguously and
+        // stores each output tile once. It is branch-free: dense
+        // multiplies pay no per-element zero-skip test (a sparse-aware
+        // entry point can bring it back if sparsity ever matters).
         kernels::matmul(
             &self.data,
             &other.data,
@@ -238,7 +237,7 @@ impl Matrix {
                 actual: (other.rows, other.cols),
             });
         }
-        out.resize_zeroed(self.rows, other.cols);
+        out.resize_for_overwrite(self.rows, other.cols);
         kernels::matmul(
             &self.data,
             &other.data,
@@ -269,7 +268,7 @@ impl Matrix {
                 actual: (other.rows, other.cols),
             });
         }
-        out.resize_zeroed(self.cols, other.cols);
+        out.resize_for_overwrite(self.cols, other.cols);
         kernels::matmul_transa(
             &self.data,
             &other.data,
@@ -311,7 +310,7 @@ impl Matrix {
                 actual: (bias.rows, bias.cols),
             });
         }
-        out.resize_zeroed(self.rows, weights.cols);
+        out.resize_for_overwrite(self.rows, weights.cols);
         kernels::matmul(
             &self.data,
             &weights.data,
@@ -331,6 +330,16 @@ impl Matrix {
     /// contents are discarded.
     pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
         self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
+    /// Reshapes in place to `rows × cols` for a kernel that overwrites
+    /// every element, reusing the existing storage without clearing it.
+    /// Element values in between are leftovers (or zero where the storage
+    /// grew) and must not be read.
+    fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {
         self.data.resize(rows * cols, 0.0);
         self.rows = rows;
         self.cols = cols;

@@ -9,10 +9,11 @@
 //!
 //! The primary reference is an independent naive triple loop: each output
 //! element starts at `0.0` and adds its products over the reduced
-//! dimension in increasing order. The blocked kernels fold four terms per
-//! pass, so dimensions run over `1..=19` to hit every remainder of the
-//! 4-wide blocks, and the real layer widths are checked at real batch
-//! sizes.
+//! dimension in increasing order. The kernels tile the output in blocks
+//! of up to 4 rows × 8 columns, so dimensions run over `1..=19` to hit
+//! every remainder tile (3/2/1 rows, 4/1 columns) and every panel depth
+//! class, and the real layer widths, including the 4- and 5-wide
+//! detection heads, are checked at real batch sizes.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -232,27 +233,43 @@ proptest! {
     }
 }
 
-/// The student's and teacher's layer widths at the pretraining/adaptation
-/// batch (64), a full-width batch (128) and a per-frame proposal count
-/// (15), through every kernel.
-#[test]
-fn real_shapes_match_naive_reference() {
-    const WIDTHS: [usize; 4] = [32, 48, 64, 128];
-    const ROWS: [usize; 3] = [15, 64, 128];
-    let mut rng = Rng::seed_from(0x5348_4150); // "SHAP"
+/// Runs every kernel check on random operands of the given shape.
+fn check_shape(rows: usize, k: usize, n: usize, rng: &mut Rng) {
     let mut random = |rows: usize, cols: usize| {
         Matrix::from_fn(rows, cols, |_, _| rng.next_gaussian_f32(0.0, 1.0))
     };
+    let shape = format!("rows {rows}, {k} -> {n}");
+    let (a, b, bias) = (random(rows, k), random(k, n), random(1, n));
+    check_matmul_family(&a, &b, &bias).unwrap_or_else(|e| panic!("{shape}: {e}"));
+    check_transa(&a, &random(rows, n)).unwrap_or_else(|e| panic!("{shape}: {e}"));
+    check_dense_backward(rows, k, n, (rows * 1000 + k * 10 + n) as u64)
+        .unwrap_or_else(|e| panic!("{shape}: {e}"));
+}
+
+/// The student's and teacher's layer widths, with the KITTI (4-wide) and
+/// DETRAC (5-wide) detection heads, at the pretraining/adaptation batches
+/// (64, 128), at per-frame proposal counts that leave a 1-, 2- and 3-row
+/// remainder block (13, 14, 15), and at a single row, through every kernel.
+#[test]
+fn real_shapes_match_naive_reference() {
+    const WIDTHS: [usize; 6] = [4, 5, 32, 48, 64, 128];
+    const ROWS: [usize; 6] = [1, 13, 14, 15, 64, 128];
+    let mut rng = Rng::seed_from(0x5348_4150); // "SHAP"
     for rows in ROWS {
         for k in WIDTHS {
             for n in WIDTHS {
-                let shape = format!("rows {rows}, {k} -> {n}");
-                let (a, b, bias) = (random(rows, k), random(k, n), random(1, n));
-                check_matmul_family(&a, &b, &bias).unwrap_or_else(|e| panic!("{shape}: {e}"));
-                check_transa(&a, &random(rows, n)).unwrap_or_else(|e| panic!("{shape}: {e}"));
-                check_dense_backward(rows, k, n, (rows * 1000 + k * 10 + n) as u64)
-                    .unwrap_or_else(|e| panic!("{shape}: {e}"));
+                check_shape(rows, k, n, &mut rng);
             }
         }
+    }
+}
+
+/// Reductions deeper than the largest stack panel (128 steps) read the
+/// operands in place even for wide outputs; they keep the same order.
+#[test]
+fn deep_reductions_match_naive_reference() {
+    let mut rng = Rng::seed_from(0x4445_4550); // "DEEP"
+    for (rows, k, n) in [(129, 5, 8), (130, 129, 19), (7, 131, 8), (13, 200, 5)] {
+        check_shape(rows, k, n, &mut rng);
     }
 }

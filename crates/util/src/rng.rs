@@ -182,15 +182,19 @@ impl Rng {
         assert!(n > 0, "below(0) is undefined");
         let n = n as u64;
         // Unbiased multiply-shift rejection sampling (Lemire 2019): accept
-        // when the low half clears the 2^64 mod n threshold, else retry.
-        let threshold = n.wrapping_neg() % n;
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (n as u128);
-            if (m as u64) >= threshold {
-                return (m >> 64) as usize;
+        // when the low half clears the `2^64 mod n` threshold, else retry.
+        // The threshold is below `n`, so a low half of at least `n` always
+        // clears it: the costly `%` runs only for low halves under `n`,
+        // and every draw is accepted or rejected exactly as if the
+        // threshold had been computed first.
+        let mut m = u128::from(self.next_u64()) * u128::from(n);
+        if (m as u64) < n {
+            let threshold = n.wrapping_neg() % n;
+            while (m as u64) < threshold {
+                m = u128::from(self.next_u64()) * u128::from(n);
             }
         }
+        (m >> 64) as usize
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
@@ -331,6 +335,57 @@ mod tests {
         for &c in &counts {
             // Each bucket should hold ~10_000 draws; allow generous slack.
             assert!((8_500..11_500).contains(&c), "count {c} out of tolerance");
+        }
+    }
+
+    /// `below` with the threshold computed before the first draw: the
+    /// textbook form the fast path must match draw for draw.
+    fn below_threshold_first(rng: &mut Rng, n: u64) -> u64 {
+        let threshold = n.wrapping_neg() % n;
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(n);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    /// Draws `below(n)` from two equal generators, one through each form,
+    /// and checks both the values and that the streams stay in step.
+    fn check_below_matches_reference(n: u64, seed: u64, draws: usize) {
+        let mut fast = Rng::seed_from(seed);
+        let mut reference = Rng::seed_from(seed);
+        for _ in 0..draws {
+            let got = fast.below(n as usize) as u64;
+            assert_eq!(got, below_threshold_first(&mut reference, n), "n = {n}");
+        }
+        assert_eq!(
+            fast.next_u64(),
+            reference.next_u64(),
+            "n = {n}: draw counts differ"
+        );
+    }
+
+    #[test]
+    fn below_fast_path_matches_threshold_first_reference() {
+        for n in 1..=10_000u64 {
+            check_below_matches_reference(n, n, 8);
+        }
+        for shift in 1..64u32 {
+            let p = 1u64 << shift;
+            for n in [p - 1, p, p + 1] {
+                check_below_matches_reference(n, u64::from(shift), 64);
+            }
+        }
+        // Above 2^63 nearly half of all draws are rejected, so the retry
+        // loop runs many times here.
+        for n in [
+            (1u64 << 63) + 1,
+            (1 << 63) + (1 << 62),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            check_below_matches_reference(n, n, 256);
         }
     }
 
