@@ -3,7 +3,10 @@
 use crate::controller::{phi_score, ControllerConfig, RateDecision, SamplingRateController};
 use crate::error::InvalidConfig;
 use serde::{Deserialize, Serialize};
-use shoggoth_models::{pseudo_label, Detection, Detector, LabeledSample, TeacherDetector};
+use shoggoth_models::{
+    detections_from, features_matrix, labels_from, Detection, Detector, LabeledSample,
+    TeacherDetector,
+};
 use shoggoth_util::Rng;
 use shoggoth_video::Frame;
 
@@ -188,12 +191,20 @@ impl CloudServer {
 
     /// Labels an uploaded batch of sampled frames with the teacher and
     /// records per-frame φ scores against the previously-labeled frame.
+    ///
+    /// The teacher classifies each frame once: its detections (for φ) and
+    /// the frame's pseudo-labels are both read off the same predictions,
+    /// exactly what [`Detector::detect`] and [`pseudo_label`] give.
+    ///
+    /// [`pseudo_label`]: shoggoth_models::pseudo_label
     pub fn label_batch(&mut self, frames: &[&Frame]) -> LabelBatch {
         let mut per_frame = Vec::with_capacity(frames.len());
         let mut phi_scores = Vec::with_capacity(frames.len());
         let mut total = 0;
+        let teacher_classes = self.teacher.config().num_classes;
         for frame in frames {
-            let detections = self.teacher.detect(frame);
+            let predictions = self.teacher.classify(&features_matrix(&frame.proposals));
+            let detections = detections_from(&frame.proposals, &predictions, teacher_classes);
             if let Some(prev) = &self.prev_labels {
                 let phi = phi_score(prev, &detections);
                 self.controller.observe_phi(phi);
@@ -202,9 +213,9 @@ impl CloudServer {
                 phi_scores.push(0.0);
             }
             self.prev_labels = Some(detections);
-            let samples = pseudo_label(
-                &mut self.teacher,
-                frame,
+            let samples = labels_from(
+                &frame.proposals,
+                &predictions,
                 self.num_classes,
                 self.config.label_threshold,
             );
@@ -268,6 +279,66 @@ mod tests {
         assert_eq!(
             batch.total_samples,
             refs.iter().map(|f| f.proposals.len()).sum::<usize>()
+        );
+    }
+
+    /// `label_batch` as it was before one classification served both
+    /// outputs: `detect` for φ, then a second forward pass in
+    /// `pseudo_label`.
+    fn label_batch_two_pass(cloud: &mut CloudServer, frames: &[&Frame]) -> LabelBatch {
+        let mut per_frame = Vec::new();
+        let mut phi_scores = Vec::new();
+        let mut total = 0;
+        for frame in frames {
+            let detections = cloud.teacher.detect(frame);
+            if let Some(prev) = &cloud.prev_labels {
+                let phi = phi_score(prev, &detections);
+                cloud.controller.observe_phi(phi);
+                phi_scores.push(phi);
+            } else {
+                phi_scores.push(0.0);
+            }
+            cloud.prev_labels = Some(detections);
+            let samples = shoggoth_models::pseudo_label(
+                &mut cloud.teacher,
+                frame,
+                cloud.num_classes,
+                cloud.config.label_threshold,
+            );
+            total += samples.len();
+            per_frame.push(samples);
+        }
+        LabelBatch {
+            per_frame,
+            total_samples: total,
+            phi_scores,
+        }
+    }
+
+    #[test]
+    fn one_pass_labelling_matches_two_pass_reference() {
+        let (mut cloud, mut frames) = setup();
+        // A frame with no proposals, mid-batch.
+        frames[7].proposals.clear();
+        let mut reference = cloud.clone();
+        let mut labelled_fg = false;
+        for batch in frames.chunks(6) {
+            let refs: Vec<&Frame> = batch.iter().collect();
+            let got = cloud.label_batch(&refs);
+            let want = label_batch_two_pass(&mut reference, &refs);
+            assert_eq!(got.per_frame, want.per_frame);
+            assert_eq!(got.total_samples, want.total_samples);
+            let bits = |phis: &[f64]| phis.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.phi_scores), bits(&want.phi_scores));
+            assert_eq!(
+                cloud.update_rate_detailed(0.6, 0.4),
+                reference.update_rate_detailed(0.6, 0.4)
+            );
+            labelled_fg |= got.per_frame.iter().flatten().any(|s| s.label == 0);
+        }
+        assert!(
+            labelled_fg,
+            "the teacher should label some proposal foreground"
         );
     }
 

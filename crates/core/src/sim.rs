@@ -15,7 +15,7 @@ use crate::trainer::{AdaptiveTrainer, FreezePolicy, ReplayPlacement, TrainerConf
 use serde::Serialize;
 use shoggoth_compute::training::{training_time, TrainingPlan};
 use shoggoth_compute::{jetson_tx2, v100, Contention, DeviceProfile};
-use shoggoth_metrics::map::{average_iou, frame_map_at_05, map_at_05, FrameEval};
+use shoggoth_metrics::map::MapAccumulator;
 use shoggoth_metrics::FpsTracker;
 use shoggoth_models::{
     Detector, LabeledSample, StudentConfig, StudentDetector, TeacherConfig, TeacherDetector,
@@ -384,7 +384,6 @@ struct Engine<'a, R: Recorder> {
     resilience: EdgeResilience,
     pending_labels: Vec<PendingLabels>,
     rng: Rng,
-    num_classes: usize,
 
     sampling_rate: f64,
     next_sample_time: f64,
@@ -400,7 +399,8 @@ struct Engine<'a, R: Recorder> {
     alpha_hits: u64,
     alpha_total: u64,
 
-    frame_evals: Vec<FrameEval>,
+    /// Streaming mAP@0.5 / IoU evaluation: no frame is kept.
+    eval: MapAccumulator,
     per_frame_map: Vec<f64>,
     fps: FpsTracker,
     rate_sum: f64,
@@ -417,6 +417,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
         teacher: TeacherDetector,
         recorder: &'a mut R,
     ) -> Result<Self, SimError> {
+        config.trainer.validate()?;
         let num_classes = config.stream.library.world().num_classes();
         let cloud = CloudServer::new(teacher, num_classes, config.cloud)?;
         let initial_rate = config
@@ -457,7 +458,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
             last_rate_update: 0.0,
             alpha_hits: 0,
             alpha_total: 0,
-            frame_evals: Vec::new(),
+            eval: MapAccumulator::new(num_classes),
             per_frame_map: Vec::new(),
             fps: FpsTracker::new(),
             rate_sum: 0.0,
@@ -472,7 +473,6 @@ impl<'a, R: Recorder> Engine<'a, R> {
             student,
             cloud,
             shadow,
-            num_classes,
         })
     }
 
@@ -620,14 +620,8 @@ impl<'a, R: Recorder> Engine<'a, R> {
             }
 
             // Evaluation.
-            let eval = FrameEval {
-                detections,
-                ground_truth: frame.ground_truth,
-            };
-            let frame_map = frame_map_at_05(&eval, self.num_classes);
+            let frame_map = self.eval.push(&detections, &frame.ground_truth);
             self.per_frame_map.push(frame_map);
-            let detection_count = eval.detections.len();
-            self.frame_evals.push(eval);
 
             // The per-frame status sample: the telemetry timeline's
             // backbone, emitted once per played frame after evaluation.
@@ -635,7 +629,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
                 map: frame_map,
                 fps: fps_now,
                 sampling_rate: self.effective_rate(),
-                detections: detection_count as u32,
+                detections: detections.len() as u32,
                 uplink_bytes: self.link.uplink_bytes(),
                 queue_depth: self.resilience.queue_len() as u32,
                 breaker: Self::phase(self.resilience.state()),
@@ -649,6 +643,7 @@ impl<'a, R: Recorder> Engine<'a, R> {
         bandwidth.finish(duration);
         self.resilience.finish(duration);
         let resilience = self.resilience.report(&self.link);
+        let pooled = self.eval.finish();
 
         Ok(SimReport {
             resilience,
@@ -657,8 +652,8 @@ impl<'a, R: Recorder> Engine<'a, R> {
             stream_name: self.config.stream.name.clone(),
             frames: frames_played,
             duration_secs: duration,
-            map50: map_at_05(&self.frame_evals, self.num_classes),
-            average_iou: average_iou(&self.frame_evals),
+            map50: pooled.map50,
+            average_iou: pooled.average_iou,
             per_frame_map: self.per_frame_map,
             uplink_kbps: bandwidth.uplink_kbps(),
             downlink_kbps: bandwidth.downlink_kbps(),
@@ -1128,6 +1123,52 @@ mod tests {
             fast.uplink_bytes,
             slow.uplink_bytes
         );
+    }
+
+    /// Runs a quick config whose trainer `tweak` breaks, and returns the
+    /// reason the run was rejected with.
+    fn trainer_rejection(tweak: impl FnOnce(&mut TrainerConfig)) -> &'static str {
+        let mut config = quick_config(Strategy::Shoggoth, 10);
+        tweak(&mut config.trainer);
+        match Simulation::run(&config) {
+            Err(SimError::Config(err)) => {
+                assert_eq!(err.component, "trainer");
+                err.reason
+            }
+            other => panic!("expected a trainer config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_replay_capacity_is_rejected() {
+        let reason = trainer_rejection(|t| t.replay_capacity = 0);
+        assert!(reason.contains("replay capacity"), "{reason}");
+    }
+
+    #[test]
+    fn zero_batch_frames_is_rejected() {
+        let reason = trainer_rejection(|t| t.batch_frames = 0);
+        assert!(reason.contains("batch frames"), "{reason}");
+    }
+
+    #[test]
+    fn non_finite_learning_rate_is_rejected() {
+        let reason = trainer_rejection(|t| t.learning_rate = f32::NAN);
+        assert!(reason.contains("learning rate"), "{reason}");
+    }
+
+    #[test]
+    fn negative_learning_rate_is_rejected() {
+        let reason = trainer_rejection(|t| t.learning_rate = -0.01);
+        assert!(reason.contains("learning rate"), "{reason}");
+    }
+
+    #[test]
+    fn bad_slow_front_scale_is_rejected() {
+        for scale in [-0.5, f32::INFINITY] {
+            let reason = trainer_rejection(|t| t.freeze = FreezePolicy::SlowFront { scale });
+            assert!(reason.contains("slow-front scale"), "{reason}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! statistics in the (frozen) front keep adapting to the input statistics,
 //! exactly as the paper prescribes.
 
-use crate::error::TrainError;
+use crate::error::{InvalidConfig, TrainError};
 use crate::replay::{ReplayItem, ReplayMemory};
 use shoggoth_models::{LabeledSample, StudentDetector};
 use shoggoth_tensor::{losses, Matrix, Mode, SgdConfig};
@@ -110,6 +110,35 @@ impl TrainerConfig {
             epochs: 4,
             ..Self::paper_scaled()
         }
+    }
+
+    /// Checks the configuration before a run uses it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InvalidConfig`] if the replay capacity or the batch size
+    /// is zero, or if the learning rate or a slow-front scale is negative
+    /// or not finite.
+    pub fn validate(&self) -> Result<(), InvalidConfig> {
+        let reject = |reason| InvalidConfig {
+            component: "trainer",
+            reason,
+        };
+        if self.replay_capacity == 0 {
+            return Err(reject("replay capacity must be at least 1"));
+        }
+        if self.batch_frames == 0 {
+            return Err(reject("batch frames must be at least 1"));
+        }
+        if !self.learning_rate.is_finite() || self.learning_rate < 0.0 {
+            return Err(reject("learning rate must be finite and non-negative"));
+        }
+        if let FreezePolicy::SlowFront { scale } = self.freeze {
+            if !scale.is_finite() || scale < 0.0 {
+                return Err(reject("slow-front scale must be finite and non-negative"));
+            }
+        }
+        Ok(())
     }
 }
 

@@ -2,6 +2,9 @@
 //!
 //! Implements exactly the quantities the paper reports:
 //!
+//! * [`map::MapAccumulator`] — streaming mAP@0.5 and average IoU: scores
+//!   each frame once as it arrives and keeps one `(confidence, is_tp)`
+//!   pair per detection for the pooled result.
 //! * [`map::map_at_05`] — mean Average Precision at IoU 0.5 (Tables I, II),
 //!   VOC-2010-style all-point interpolation.
 //! * [`map::frame_map_at_05`] — per-frame mAP, pooled into the CDF of
@@ -34,5 +37,5 @@ pub mod matching;
 
 pub use bandwidth::BandwidthMeter;
 pub use fps::FpsTracker;
-pub use map::{average_iou, frame_map_at_05, map_at_05, FrameEval};
+pub use map::{average_iou, frame_map_at_05, map_at_05, FrameEval, MapAccumulator, PooledScores};
 pub use matching::{match_detections, MatchResult};

@@ -4,7 +4,7 @@ use crate::background_class;
 use crate::detector::Detector;
 use shoggoth_tensor::Matrix;
 use shoggoth_util::Rng;
-use shoggoth_video::{Domain, FeatureWorld, Frame};
+use shoggoth_video::{ClassId, Domain, FeatureWorld, Frame, Proposal};
 
 /// One labeled training sample: a proposal's features and its class label
 /// (foreground class index, or the background index).
@@ -91,12 +91,22 @@ pub fn pseudo_label<D: Detector + ?Sized>(
         return Vec::new();
     }
     let predictions = detector.classify(&features);
+    labels_from(&frame.proposals, &predictions, num_classes, threshold)
+}
+
+/// [`pseudo_label`]'s rule applied to proposals already classified (row
+/// for row, by [`Detector::classify`]).
+pub fn labels_from(
+    proposals: &[Proposal],
+    predictions: &[(ClassId, f32)],
+    num_classes: usize,
+    threshold: f32,
+) -> Vec<LabeledSample> {
     let bg = background_class(num_classes);
-    frame
-        .proposals
+    proposals
         .iter()
         .zip(predictions)
-        .map(|(p, (class, confidence))| LabeledSample {
+        .map(|(p, &(class, confidence))| LabeledSample {
             features: p.features.clone(),
             label: if class < bg && confidence >= threshold {
                 class

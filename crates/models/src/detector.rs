@@ -2,7 +2,7 @@
 
 use crate::background_class;
 use shoggoth_tensor::{losses, Matrix, Mlp, Mode};
-use shoggoth_video::{BBox, ClassId, Frame};
+use shoggoth_video::{BBox, ClassId, Frame, Proposal};
 
 /// One detection: a box, a foreground class, and a confidence score
 /// (the model's normalized posterior, the paper's `d_i`).
@@ -38,7 +38,7 @@ pub trait Detector {
 ///
 /// Returns a `0 × dim` matrix when `proposals` is empty (`dim` falls back
 /// to 1 so downstream shape checks fail loudly rather than silently).
-pub fn features_matrix(proposals: &[shoggoth_video::Proposal]) -> Matrix {
+pub fn features_matrix(proposals: &[Proposal]) -> Matrix {
     let dim = proposals.first().map_or(1, |p| p.features.len());
     let mut m = Matrix::zeros(proposals.len(), dim);
     for (r, p) in proposals.iter().enumerate() {
@@ -53,15 +53,24 @@ pub(crate) fn detect_with(net: &mut Mlp, num_classes: usize, frame: &Frame) -> V
     if frame.proposals.is_empty() {
         return Vec::new();
     }
-    let features = features_matrix(&frame.proposals);
-    let predictions = classify_with(net, &features);
+    let predictions = classify_with(net, &features_matrix(&frame.proposals));
+    detections_from(&frame.proposals, &predictions, num_classes)
+}
+
+/// The detections among classified proposals: one per proposal whose
+/// predicted class (from [`Detector::classify`], row for row) is a
+/// foreground class of `num_classes`.
+pub fn detections_from(
+    proposals: &[Proposal],
+    predictions: &[(ClassId, f32)],
+    num_classes: usize,
+) -> Vec<Detection> {
     let bg = background_class(num_classes);
-    frame
-        .proposals
+    proposals
         .iter()
         .zip(predictions)
         .filter(|(_, (class, _))| *class < bg)
-        .map(|(p, (class, confidence))| Detection {
+        .map(|(p, &(class, confidence))| Detection {
             bbox: p.bbox,
             class,
             confidence,
@@ -103,7 +112,6 @@ pub(crate) fn classify_with(net: &mut Mlp, features: &Matrix) -> Vec<(ClassId, f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shoggoth_video::Proposal;
 
     #[test]
     fn features_matrix_stacks_rows() {

@@ -38,8 +38,8 @@ pub mod detector;
 pub mod student;
 pub mod teacher;
 
-pub use data::{pseudo_label, sample_domain_batch, LabeledSample};
-pub use detector::{features_matrix, Detection, Detector};
+pub use data::{labels_from, pseudo_label, sample_domain_batch, LabeledSample};
+pub use detector::{detections_from, features_matrix, Detection, Detector};
 pub use student::{StudentConfig, StudentDetector};
 pub use teacher::{TeacherConfig, TeacherDetector};
 

@@ -178,6 +178,7 @@ impl Rng {
     /// # Panics
     ///
     /// Panics if `n == 0`.
+    #[inline]
     pub fn below(&mut self, n: usize) -> usize {
         assert!(n > 0, "below(0) is undefined");
         let n = n as u64;

@@ -78,9 +78,10 @@ fn word_starts(line: &str, token: &str) -> Vec<usize> {
 // L1 — determinism
 // ---------------------------------------------------------------------------
 
-/// Crates whose `src/` must stay bit-reproducible: the simulation core and
-/// everything that feeds it frames or kernels.
-pub const DETERMINISTIC_CRATES: &[&str] = &["core", "compute", "video", "net"];
+/// Crates whose `src/` must stay bit-reproducible: the simulation core,
+/// everything that feeds it frames or kernels, and the metrics that score
+/// its reports frame by frame.
+pub const DETERMINISTIC_CRATES: &[&str] = &["core", "compute", "video", "net", "metrics"];
 
 const L1_BANNED: &[(&str, &str)] = &[
     (
@@ -158,6 +159,7 @@ pub const HOT_PATH: &[&str] = &[
     "crates/core/src/controller.rs",
     "crates/core/src/resilience.rs",
     "crates/core/src/cloud.rs",
+    "crates/metrics/src/map.rs",
 ];
 
 const HOT_PATH_KINDS: &[&str] = &["panic", "unwrap", "expect"];
@@ -773,6 +775,25 @@ mod tests {
         }];
         let v = l2_panic_audit(&[], &allow, Path::new("a.txt"));
         assert!(v.iter().any(|v| v.message.contains("hot-path")));
+    }
+
+    #[test]
+    fn l2_streaming_map_is_hot_path() {
+        // The engine scores every frame through the mAP accumulator.
+        let allow = vec![AllowEntry {
+            line: 3,
+            kind: "unwrap".to_owned(),
+            path: "crates/metrics/src/map.rs".to_owned(),
+            max: 1,
+            justification: "class index in range".to_owned(),
+        }];
+        let f = SourceFile::parse(
+            PathBuf::from("crates/metrics/src/map.rs"),
+            "let c = counts.get(i).unwrap();\n",
+        );
+        let v = l2_panic_audit(&[f], &allow, Path::new("a.txt"));
+        assert_eq!(v.len(), 1, "budgeted, so only the budget is flagged");
+        assert!(v[0].message.contains("hot-path"), "{}", v[0].message);
     }
 
     #[test]

@@ -179,3 +179,20 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn metrics_crate_is_held_to_determinism() {
+        for (path, covered) in [
+            ("crates/metrics/src/map.rs", true),
+            ("crates/core/src/sim.rs", true),
+            ("crates/bench/src/lib.rs", false),
+            ("benchmark/metrics/src/x.rs", false),
+        ] {
+            assert_eq!(in_deterministic_crate(Path::new(path)), covered, "{path}");
+        }
+    }
+}
